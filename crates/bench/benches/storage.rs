@@ -1,13 +1,12 @@
 //! **E11 — storage substrate.**
 //!
 //! Operation-log append throughput, recovery (replay) time versus log
-//! length, codec round-trip cost, and the temporal index versus a linear
-//! scan for stabbing queries.
+//! length and codec round-trip cost. (Index versus scan for "who was a
+//! member at t" is E12's `extent` bench.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tchimera_bench::{probe_instants, staff_db};
 use tchimera_core::{attrs, ClassDef, ClassId, Instant, Value};
-use tchimera_storage::{Codec, Operation, PersistentDatabase, TemporalIndex};
+use tchimera_storage::{Codec, Operation, PersistentDatabase};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("tchimera-bench-{}-{name}.log", std::process::id()))
@@ -93,52 +92,6 @@ fn bench_codec(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_index_vs_scan(c: &mut Criterion) {
-    let mut g = c.benchmark_group("E11/stab");
-    g.sample_size(10);
-    for &n in &[1_000usize, 10_000] {
-        let db = staff_db(n, 5, 42);
-        let idx = TemporalIndex::build(&db);
-        let probes = probe_instants(256, db.now().ticks(), 9);
-        g.bench_with_input(
-            BenchmarkId::new("interval-tree", format!("objects={n}")),
-            &(),
-            |b, ()| {
-                b.iter(|| {
-                    probes
-                        .iter()
-                        .map(|&t| idx.alive_at(t).len())
-                        .sum::<usize>()
-                });
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("linear-scan", format!("objects={n}")),
-            &(),
-            |b, ()| {
-                b.iter(|| {
-                    probes
-                        .iter()
-                        .map(|&t| {
-                            db.objects()
-                                .filter(|o| o.lifespan.contains(t, db.now()))
-                                .count()
-                        })
-                        .sum::<usize>()
-                });
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("build-index", format!("objects={n}")),
-            &(),
-            |b, ()| {
-                b.iter(|| TemporalIndex::build(&db));
-            },
-        );
-    }
-    g.finish();
-}
-
 /// Criterion configuration tuned so the whole suite finishes in
 /// minutes: fewer samples and shorter windows than the defaults, still
 /// plenty for the stable, allocation-free workloads measured here.
@@ -153,6 +106,6 @@ fn quick() -> Criterion {
 criterion_group!{
     name = benches;
     config = quick();
-    targets = bench_append, bench_recovery, bench_codec, bench_index_vs_scan
+    targets = bench_append, bench_recovery, bench_codec
 }
 criterion_main!(benches);

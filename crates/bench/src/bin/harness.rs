@@ -14,7 +14,7 @@ use tchimera_core::{
     attrs, Attrs, ClassDef, ClassId, Database, Instant, Oid, Type, Value, CAPABILITIES,
 };
 use tchimera_query::{check_select, eval_select, parse, Stmt};
-use tchimera_storage::{PersistentDatabase, TemporalIndex};
+use tchimera_storage::PersistentDatabase;
 
 fn main() {
     let filter: Vec<String> = std::env::args().skip(1).map(|s| s.to_uppercase()).collect();
@@ -488,32 +488,6 @@ fn e11_storage() {
     );
     drop(recovered);
     let _ = std::fs::remove_file(&path);
-    // Index vs scan.
-    for &n in &[1_000usize, 10_000] {
-        let db = staff_db(n, 5, 42);
-        let idx = TemporalIndex::build(&db);
-        let probes = probe_instants(256, db.now().ticks(), 9);
-        let tree = time_ns(11, || {
-            probes.iter().map(|&t| idx.alive_at(t).len()).sum::<usize>()
-        }) / probes.len() as f64;
-        let scan = time_ns(11, || {
-            probes
-                .iter()
-                .map(|&t| {
-                    db.objects()
-                        .filter(|o| o.lifespan.contains(t, db.now()))
-                        .count()
-                })
-                .sum::<usize>()
-        }) / probes.len() as f64;
-        let build = time_ns(5, || TemporalIndex::build(&db));
-        println!(
-            "| stab query, {n} objects: interval tree / linear scan / index build | {} / {} / {} |",
-            fmt_ns(tree),
-            fmt_ns(scan),
-            fmt_ns(build)
-        );
-    }
     println!();
 }
 

@@ -56,7 +56,9 @@ pub struct Database {
     pub(crate) admission: std::sync::Arc<crate::admission::Admission>,
     /// Lazily-built temporal attribute-value indexes (value → holders),
     /// kept current incrementally by every mutation below. Clones start
-    /// empty — see `attr_index.rs`.
+    /// empty — see `attr_index.rs` — so a transaction's shadow clone
+    /// never replaces the live state: its operations are re-applied to
+    /// the live database, which keeps this cache.
     pub(crate) attr_idx: crate::attr_index::AttrIndexCache,
     /// Classes fenced off by the integrity scrubber after unrepaired
     /// corruption. Shared across clones (like `admission`) so a scrub on

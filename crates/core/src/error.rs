@@ -147,6 +147,16 @@ pub enum ModelError {
         /// The quarantined class.
         class: ClassId,
     },
+    /// An [`Operation::CreateObject`](crate::Operation::CreateObject)
+    /// pinned an oid other than the one the database would assign: the
+    /// operation was recorded against a different state (on replay, a
+    /// corrupt log).
+    OidMismatch {
+        /// The oid the operation pinned.
+        expected: Oid,
+        /// The oid the database would assign.
+        got: Oid,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -214,6 +224,10 @@ impl fmt::Display for ModelError {
             Quarantined { class } => write!(
                 f,
                 "class `{class}` is quarantined by the integrity scrubber (unrepaired corruption)"
+            ),
+            OidMismatch { expected, got } => write!(
+                f,
+                "oid mismatch: the operation pins {expected}, the database would assign {got}"
             ),
         }
     }

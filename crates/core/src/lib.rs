@@ -20,7 +20,8 @@
 //!   and the invariants (5.1, 5.2, 6.1, 6.2).
 //!
 //! The [`Database`] owns the schema, the objects and the logical clock and
-//! exposes the model functions of the paper's Table 3.
+//! exposes the model functions of the paper's Table 3. Every mutation is an
+//! [`Operation`], and [`Database::apply`] is its one interpreter.
 //!
 //! ```
 //! use tchimera_core::{attrs, Attrs, ClassDef, ClassId, Database, Type, Value};
@@ -59,6 +60,7 @@ mod inheritance;
 mod invariants;
 mod object;
 mod observability;
+mod operation;
 mod ref_index;
 mod schema;
 mod scrub;
@@ -80,6 +82,7 @@ pub use ident::{AttrName, ClassId, MethodName, Oid, Symbol};
 pub use invariants::{InvariantId, InvariantViolation};
 pub use object::Object;
 pub use observability::{touch_metrics, CORE_METRICS};
+pub use operation::Operation;
 pub use schema::Schema;
 #[cfg(any(test, feature = "testing"))]
 pub use scrub::{MemFault, SimMem};

@@ -1,13 +1,20 @@
 //! The TCQL interpreter: parse → type-check → execute against a database.
+//!
+//! Writes and reads take two paths. Every DDL, DML and clock statement
+//! lowers to one [`Operation`] applied through `Database::apply` — the
+//! model's one update semantics, the same function the durable engine
+//! logs through and recovers with. Every other statement runs through
+//! the read executor this interpreter shares with the
+//! [`ReplicaSession`](crate::ReplicaSession).
 
 use std::fmt;
 
 use tchimera_core::{
-    ConsistencyReport, Constraint, ConstraintViolation, Database, Equality, Instant,
-    InvariantViolation, ModelError, Oid, Quantifier,
+    AttrName, Attrs, ConsistencyReport, Constraint, ConstraintViolation, Database, Equality,
+    Instant, InvariantViolation, ModelError, Oid, Operation, Quantifier, ScrubReport,
 };
 
-use crate::ast::{ConstraintSpec, Stmt};
+use crate::ast::{ConstraintSpec, Literal, Stmt};
 use crate::eval::{EvalError, QueryResult};
 use crate::exec::{execute_plan, ExecOptions, ExecStats};
 use crate::governor::{CancelToken, ExecBudget, Progress, Resource};
@@ -209,7 +216,7 @@ pub struct Interpreter {
     plans: PlanCache,
     budget: ExecBudget,
     /// Outcome of the most recent `SCRUB NOW`, for `SCRUB STATUS`.
-    last_scrub: Option<tchimera_core::ScrubReport>,
+    last_scrub: Option<ScrubReport>,
 }
 
 impl Interpreter {
@@ -253,16 +260,6 @@ impl Interpreter {
         self.budget.cancel.clone()
     }
 
-    /// Run a planned query under the full governor: admission control,
-    /// budget metering, and a panic shield. This is the only path by
-    /// which the interpreter executes query plans.
-    fn governed_query(
-        &self,
-        plan: &PlannedQuery,
-    ) -> Result<(QueryResult, ExecStats), QueryError> {
-        governed_query(&self.db, &self.budget, plan)
-    }
-
     /// Parse, type-check and execute a single statement.
     pub fn run(&mut self, src: &str) -> Result<Outcome, QueryError> {
         let stmt = parse(src)?;
@@ -280,79 +277,36 @@ impl Interpreter {
         Ok(out)
     }
 
-    /// Execute a parsed statement.
+    /// Execute a parsed statement: a DDL, DML or clock statement is
+    /// applied as one [`Operation`], everything else reads.
     pub fn execute(&mut self, stmt: Stmt) -> Result<Outcome, QueryError> {
-        Ok(match stmt {
-            Stmt::DefineClass(def) => {
-                self.db.define_class(def)?;
-                Outcome::Ok
+        match lower(&self.db, stmt) {
+            Lowered::Write(_, op) => {
+                self.db.apply(&op)?;
+                Ok(match op {
+                    Operation::CreateObject { expect, .. } => Outcome::Created(expect),
+                    Operation::AdvanceTo(t) => Outcome::Time(t),
+                    _ => Outcome::Ok,
+                })
             }
-            Stmt::DropClass(c) => {
-                self.db.drop_class(&c)?;
-                Outcome::Ok
-            }
-            Stmt::Create { class, init } => {
-                let init = init
-                    .into_iter()
-                    .map(|(n, l)| (n, l.to_value()))
-                    .collect();
-                Outcome::Created(self.db.create_object(&class, init)?)
-            }
-            Stmt::Set { oid, attr, value } => {
-                self.db.set_attr(Oid(oid), &attr, value.to_value())?;
-                Outcome::Ok
-            }
-            Stmt::SetCAttr { class, attr, value } => {
-                self.db.set_c_attr(&class, &attr, value.to_value())?;
-                Outcome::Ok
-            }
-            Stmt::Migrate { oid, to, init } => {
-                let init = init
-                    .into_iter()
-                    .map(|(n, l)| (n, l.to_value()))
-                    .collect();
-                self.db.migrate(Oid(oid), &to, init)?;
-                Outcome::Ok
-            }
-            Stmt::Terminate { oid } => {
-                self.db.terminate_object(Oid(oid))?;
-                Outcome::Ok
-            }
-            Stmt::Tick(n) => Outcome::Time(self.db.tick_by(n)),
-            Stmt::AdvanceTo(t) => Outcome::Time(self.db.advance_to(Instant(t))?),
-            Stmt::Select(q) => {
-                let (plan, _hit) = self.plans.get_or_plan(self.db.schema(), &q)?;
-                let (table, _stats) = self.governed_query(&plan)?;
-                Outcome::Table(table)
-            }
-            Stmt::Explain(q) => {
-                let (plan, hit) = self.plans.get_or_plan(self.db.schema(), &q)?;
-                let (_table, stats) = self.governed_query(&plan)?;
-                Outcome::Explain(render_explain(&plan, &stats, hit))
-            }
-            Stmt::ShowClass(c) => Outcome::ClassInfo(describe_class(&self.db, &c)?),
-            Stmt::CheckConsistency => Outcome::Consistency(self.db.check_database()),
-            Stmt::CheckInvariants => Outcome::Invariants(self.db.check_invariants()),
-            Stmt::Compare { a, b } => {
-                Outcome::Equality(self.db.strongest_equality(Oid(a), Oid(b))?)
-            }
-            Stmt::CheckConstraint(spec) => {
-                Outcome::Constraint(self.db.check_constraint(&constraint_of(spec)))
-            }
-            Stmt::ScrubNow => {
+            Lowered::Other(Stmt::ScrubNow) => {
                 let report = self.governed_scrub()?;
                 let rendered = report.to_string();
                 self.last_scrub = Some(report);
-                Outcome::Scrub(rendered)
+                Ok(Outcome::Scrub(rendered))
             }
-            Stmt::ScrubStatus => {
-                Outcome::Scrub(render_scrub_status(self.last_scrub.as_ref(), &self.db))
-            }
-        })
+            Lowered::Other(stmt) => execute_read(
+                &self.db,
+                &mut self.plans,
+                &self.budget,
+                self.last_scrub.as_ref(),
+                stmt,
+            ),
+        }
     }
 
     /// The report of the most recent `SCRUB NOW`, if one has run.
-    pub fn last_scrub(&self) -> Option<&tchimera_core::ScrubReport> {
+    pub fn last_scrub(&self) -> Option<&ScrubReport> {
         self.last_scrub.as_ref()
     }
 
@@ -364,7 +318,7 @@ impl Interpreter {
     /// An over-budget cycle stops early with `budget_exhausted` set
     /// rather than erroring: partial verification is still progress, and
     /// the counters cover exactly the work done.
-    fn governed_scrub(&mut self) -> Result<tchimera_core::ScrubReport, QueryError> {
+    fn governed_scrub(&mut self) -> Result<ScrubReport, QueryError> {
         let gate = self.db.admission_handle();
         let Some(_permit) = gate.try_enter() else {
             return Err(QueryError::Overloaded {
@@ -392,14 +346,86 @@ impl Interpreter {
     }
 }
 
-/// Render `SCRUB STATUS`: the last recorded cycle (if any) plus the
-/// database's live quarantine set. Shared by both session kinds; a
-/// replica session passes `None` since scrubbing there happens at the
-/// storage layer, not through TCQL.
-pub(crate) fn render_scrub_status(
-    last: Option<&tchimera_core::ScrubReport>,
+/// A statement as [`lower`] sorts it.
+pub(crate) enum Lowered {
+    /// A DDL, DML or clock statement: the one [`Operation`] it performs,
+    /// named by its TCQL keyword.
+    Write(&'static str, Operation),
+    /// Any other statement, unchanged.
+    Other(Stmt),
+}
+
+/// Lower a DDL, DML or clock statement to the one [`Operation`] it
+/// performs on `db`; every other statement is handed back unchanged.
+pub(crate) fn lower(db: &Database, stmt: Stmt) -> Lowered {
+    let values = |init: Vec<(AttrName, Literal)>| -> Attrs {
+        init.into_iter().map(|(n, l)| (n, l.to_value())).collect()
+    };
+    let (kind, op) = match stmt {
+        Stmt::DefineClass(def) => ("DEFINE CLASS", Operation::DefineClass(def)),
+        Stmt::DropClass(c) => ("DROP CLASS", Operation::DropClass(c)),
+        Stmt::Create { class, init } => (
+            "CREATE",
+            Operation::CreateObject { class, init: values(init), expect: db.next_oid() },
+        ),
+        Stmt::Set { oid, attr, value } => (
+            "SET",
+            Operation::SetAttr { oid: Oid(oid), attr, value: value.to_value() },
+        ),
+        Stmt::SetCAttr { class, attr, value } => (
+            "SET CLASS ATTRIBUTE",
+            Operation::SetCAttr { class, attr, value: value.to_value() },
+        ),
+        Stmt::Migrate { oid, to, init } => (
+            "MIGRATE",
+            Operation::Migrate { oid: Oid(oid), to, init: values(init) },
+        ),
+        Stmt::Terminate { oid } => ("TERMINATE", Operation::Terminate { oid: Oid(oid) }),
+        Stmt::Tick(n) => ("TICK", Operation::AdvanceTo(db.now().advance(n))),
+        Stmt::AdvanceTo(t) => ("ADVANCE TO", Operation::AdvanceTo(Instant(t))),
+        other => return Lowered::Other(other),
+    };
+    Lowered::Write(kind, op)
+}
+
+/// Execute a statement that only reads `db`: the executor both session
+/// kinds share. The caller handles every statement that [`lower`]s to an
+/// operation, and `SCRUB NOW`; `last_scrub` is the cycle `SCRUB STATUS`
+/// reports (a replica session has none: scrubbing there happens at the
+/// storage layer, not through TCQL).
+pub(crate) fn execute_read(
     db: &Database,
-) -> String {
+    plans: &mut PlanCache,
+    budget: &ExecBudget,
+    last_scrub: Option<&ScrubReport>,
+    stmt: Stmt,
+) -> Result<Outcome, QueryError> {
+    Ok(match stmt {
+        Stmt::Select(q) => {
+            let (plan, _hit) = plans.get_or_plan(db.schema(), &q)?;
+            let (table, _stats) = governed_query(db, budget, &plan)?;
+            Outcome::Table(table)
+        }
+        Stmt::Explain(q) => {
+            let (plan, hit) = plans.get_or_plan(db.schema(), &q)?;
+            let (_table, stats) = governed_query(db, budget, &plan)?;
+            Outcome::Explain(render_explain(&plan, &stats, hit))
+        }
+        Stmt::ShowClass(c) => Outcome::ClassInfo(describe_class(db, &c)?),
+        Stmt::CheckConsistency => Outcome::Consistency(db.check_database()),
+        Stmt::CheckInvariants => Outcome::Invariants(db.check_invariants()),
+        Stmt::Compare { a, b } => Outcome::Equality(db.strongest_equality(Oid(a), Oid(b))?),
+        Stmt::CheckConstraint(spec) => {
+            Outcome::Constraint(db.check_constraint(&constraint_of(spec)))
+        }
+        Stmt::ScrubStatus => Outcome::Scrub(render_scrub_status(last_scrub, db)),
+        _ => unreachable!("writes and SCRUB NOW are handled by the caller"),
+    })
+}
+
+/// Render `SCRUB STATUS`: the last recorded cycle (if any) plus the
+/// database's live quarantine set.
+fn render_scrub_status(last: Option<&ScrubReport>, db: &Database) -> String {
     let mut s = match last {
         Some(r) => r.to_string(),
         None => "scrub: no cycle recorded".to_string(),
@@ -416,10 +442,10 @@ pub(crate) fn render_scrub_status(
 
 /// Run a planned query under the full governor: admission control
 /// against the database's concurrent-query cap, budget metering, and a
-/// panic shield. Shared by [`Interpreter`] and
-/// [`ReplicaSession`](crate::replica::ReplicaSession) so both front
-/// doors enforce the identical policy.
-pub(crate) fn governed_query(
+/// panic shield. This is the only path by which either session kind
+/// executes query plans, so both front doors enforce the identical
+/// policy.
+fn governed_query(
     db: &Database,
     budget: &ExecBudget,
     plan: &PlannedQuery,
@@ -464,7 +490,7 @@ pub(crate) fn governed_query(
 }
 
 /// Lower a parsed constraint spec to the model-level [`Constraint`].
-pub(crate) fn constraint_of(spec: ConstraintSpec) -> Constraint {
+fn constraint_of(spec: ConstraintSpec) -> Constraint {
     match spec {
         ConstraintSpec::Covered(class, attr) => Constraint::Covered { class, attr },
         ConstraintSpec::NonDecreasing(class, attr) => Constraint::NonDecreasing { class, attr },
@@ -480,8 +506,8 @@ pub(crate) fn constraint_of(spec: ConstraintSpec) -> Constraint {
     }
 }
 
-/// Render the `SHOW CLASS` description (shared by both session kinds).
-pub(crate) fn describe_class(
+/// Render the `SHOW CLASS` description.
+fn describe_class(
     db: &Database,
     c: &tchimera_core::ClassId,
 ) -> Result<String, QueryError> {
@@ -934,7 +960,7 @@ mod tests {
                 .unwrap_or(0)
         };
         let panics_before = panic_count();
-        let err = interp.governed_query(&plan).unwrap_err();
+        let err = governed_query(interp.db(), interp.budget(), &plan).unwrap_err();
         assert!(matches!(err, QueryError::Internal(_)), "got {err}");
         assert_eq!(panic_count(), panics_before + 1);
         // Nothing poisoned: the permit was released and queries still run.

@@ -3,9 +3,12 @@
 //!
 //! T_Chimera state is a pure fold of its operation history (histories are
 //! append-only, the past immutable — valid-time semantics), so the engine
-//! is event-sourced: recovery replays the log through the *same*
-//! [`Operation::apply`] path used online, and a state digest cross-checks
-//! that a recovered database matches the one that wrote the log.
+//! is event-sourced: every write — a mutator call, a transaction commit,
+//! a replicated record — is one [`Operation`] that goes through one
+//! private commit path (append to the log, apply with `Database::apply`),
+//! recovery replays the log through the *same* `Database::apply`, and a
+//! state digest cross-checks that a recovered database matches the one
+//! that wrote the log.
 //!
 //! # Checkpoints and recovery
 //!
@@ -28,27 +31,23 @@ use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use tchimera_core::{
-    AttrName, Attrs, ClassDef, ClassId, Database, DatabaseState, Instant, ModelError, Oid,
-    StateError, Value,
-};
+use tchimera_core::{ClassId, Database, DatabaseState, ModelError, Oid, StateError};
 
 use crate::log::{LogError, LogScan, OpLog};
-use crate::op::{Operation, ReplayError};
+use crate::op::{mutators, Operation};
 use crate::resilience::{retry, BreakerState, CircuitBreaker, FaultKind, RetryPolicy};
-use crate::snapshot::{load_snapshot, write_snapshot, Snapshot, SnapshotError};
+use crate::snapshot::{load_snapshot, write_snapshot, SnapshotError};
 use crate::txn::Transaction;
 use crate::vfs::{StdFs, Vfs};
 
 /// Errors raised by the persistent engine.
 #[derive(Debug)]
 pub enum EngineError {
-    /// The model rejected the operation (nothing was logged).
+    /// The model rejected the operation: online, nothing was logged; in
+    /// recovery, the log does not describe a valid execution.
     Model(ModelError),
     /// The log failed.
     Log(LogError),
-    /// Recovery replay failed.
-    Replay(ReplayError),
     /// A snapshot state image was structurally invalid.
     State(StateError),
     /// The snapshot could not be loaded — and, because the log was
@@ -94,7 +93,6 @@ impl std::fmt::Display for EngineError {
         match self {
             EngineError::Model(e) => write!(f, "{e}"),
             EngineError::Log(e) => write!(f, "{e}"),
-            EngineError::Replay(e) => write!(f, "{e}"),
             EngineError::State(e) => write!(f, "{e}"),
             EngineError::Snapshot(e) => write!(
                 f,
@@ -141,11 +139,6 @@ impl From<ModelError> for EngineError {
 impl From<LogError> for EngineError {
     fn from(e: LogError) -> Self {
         EngineError::Log(e)
-    }
-}
-impl From<ReplayError> for EngineError {
-    fn from(e: ReplayError) -> Self {
-        EngineError::Replay(e)
     }
 }
 impl From<StateError> for EngineError {
@@ -215,6 +208,80 @@ pub fn snapshot_path(path: &Path) -> PathBuf {
     path.with_extension("snap")
 }
 
+/// A database folded from durable history, and how it was reached.
+struct Folded {
+    db: Database,
+    /// Operations the state covers (snapshot plus replayed suffix).
+    ops: usize,
+    /// Log operations re-applied on top of the starting state.
+    replayed: usize,
+    /// The fold started from the snapshot, not the empty database.
+    from_snapshot: bool,
+}
+
+/// Fold durable history into a database: the one definition behind
+/// recovery ([`PersistentDatabase::open`], rungs 1–2 of the ladder in the
+/// module docs), transaction-time travel, divergence rollback and the
+/// scrubber's state ↔ history check.
+///
+/// The fold starts from the snapshot when it loads, imports, matches its
+/// recorded digest and covers between the log's base and `upto`
+/// operations; otherwise from the empty database, provided the log was
+/// never compacted. It then applies the log's operations after that
+/// start, up to `upto` operations in total. A compacted log whose
+/// snapshot cannot be used is an [`EngineError::Snapshot`] (rung 3), and
+/// one whose snapshot lies past `upto` is [`EngineError::Compacted`].
+fn fold_history(
+    vfs: &Arc<dyn Vfs>,
+    snap_path: &Path,
+    scan: &LogScan,
+    upto: usize,
+) -> Result<Folded, EngineError> {
+    let base = scan.base_op;
+    let rejected = |why| EngineError::Snapshot(SnapshotError::Corrupt(why));
+    let snapshot = load_snapshot(vfs, snap_path)
+        .map_err(EngineError::Snapshot)
+        .and_then(|snap| {
+            if snap.ops_covered < base {
+                // The gap between the snapshot and the log's first record
+                // was compacted away.
+                return Err(rejected("snapshot behind the compaction horizon"));
+            }
+            let db =
+                Database::import_state(snap.state).map_err(|_| rejected("state image rejected"))?;
+            if digest_database(&db) != snap.digest {
+                return Err(rejected("state image does not match its digest"));
+            }
+            Ok((db, snap.ops_covered as usize))
+        });
+    let (mut db, start, from_snapshot) = match snapshot {
+        Ok((db, covered)) if covered <= upto => (db, covered, true),
+        _ if base == 0 => (Database::new(), 0, false),
+        Ok((_, covered)) => {
+            return Err(EngineError::Compacted {
+                requested: upto,
+                base: covered as u64,
+            })
+        }
+        Err(e) => return Err(e),
+    };
+    // The skip exceeds the scan when the snapshot is ahead of the log (a
+    // crash between snapshot install and compaction): nothing to replay.
+    let skip = start - base as usize;
+    let suffix = scan.ops.iter().skip(skip).take(upto - start);
+    let mut replayed = 0;
+    for op in suffix {
+        db.apply(op)?;
+        replayed += 1;
+    }
+    Ok(Folded {
+        db,
+        ops: start + replayed,
+        replayed,
+        from_snapshot,
+    })
+}
+
 impl PersistentDatabase {
     /// Open a database at `path` on the real filesystem, recovering from
     /// the latest snapshot plus log suffix (or full replay).
@@ -239,57 +306,29 @@ impl PersistentDatabase {
         let _span = tchimera_obs::span!("storage.recovery.open", path = path.display());
         let snap_path = snapshot_path(path);
         let (mut log, scan) = OpLog::open_with(Arc::clone(&vfs), path)?;
-        let base = scan.base_op;
-
-        // Rung 1: a loadable snapshot whose imported state digest-matches
-        // the digest recorded when it was written.
-        let usable = match load_snapshot(&vfs, &snap_path) {
-            Ok(snap) if snap.ops_covered >= base => match Database::import_state(snap.state) {
-                Ok(db) if digest_database(&db) == snap.digest => Some((db, snap.ops_covered)),
-                _ => None,
-            },
-            _ => None,
-        };
-
-        let (db, recovered_ops, recovered_replayed, from_snapshot) = match usable {
-            Some((mut db, covered)) => {
-                let skip = (covered - base) as usize;
-                if skip > scan.ops.len() {
-                    // The snapshot is ahead of the surviving log (a crash
-                    // ate the log between snapshot install and
-                    // compaction). The snapshot is durable and verified:
-                    // realign the log to it.
-                    log.compact_to(covered)?;
-                    (db, covered as usize, 0, true)
-                } else {
-                    for op in &scan.ops[skip..] {
-                        op.apply(&mut db)?;
-                    }
-                    let total = base as usize + scan.ops.len();
-                    (db, total, scan.ops.len() - skip, true)
-                }
-            }
-            // Rung 2: no usable snapshot, but the log holds the full
-            // history — replay it from the empty database.
-            None if base == 0 => {
-                let mut db = Database::new();
-                for op in &scan.ops {
-                    op.apply(&mut db)?;
-                }
-                (db, scan.ops.len(), scan.ops.len(), false)
-            }
+        let folded = match fold_history(&vfs, &snap_path, &scan, usize::MAX) {
+            Ok(folded) => folded,
             // Rung 3: the prefix was compacted away and the snapshot that
-            // held it is unusable. Refuse loudly.
-            None => {
+            // held it is unusable (or the log does not replay). Refuse
+            // loudly.
+            Err(e) => {
                 tchimera_obs::counter!("storage.recovery.rung").inc();
                 tchimera_obs::event!("storage.recovery.rung", rung = "refused");
-                let err = match load_snapshot(&vfs, &snap_path) {
-                    Err(e) => e,
-                    Ok(_) => SnapshotError::Corrupt("state image rejected"),
-                };
-                return Err(EngineError::Snapshot(err));
+                return Err(e);
             }
         };
+        if folded.ops > scan.base_op as usize + scan.ops.len() {
+            // The snapshot is ahead of the surviving log (a crash ate the
+            // log between snapshot install and compaction). The snapshot
+            // is durable and verified: realign the log to it.
+            log.compact_to(folded.ops as u64)?;
+        }
+        let Folded {
+            db,
+            ops: recovered_ops,
+            replayed: recovered_replayed,
+            from_snapshot,
+        } = folded;
 
         // Exactly one rung event per open: which recovery path produced
         // the served state.
@@ -370,45 +409,14 @@ impl PersistentDatabase {
         // effort: recovery inspection must keep working while the engine
         // is degraded, and `Vfs::read` sees buffered appends anyway.
         let _ = self.log.sync();
-        let buf = self.vfs.read(self.log.path()).map_err(LogError::from)?;
-        let scan = OpLog::scan_bytes(&buf);
-        let base = scan.base_op as usize;
-        if k < base {
+        let scan = self.scan_log()?;
+        if k < scan.base_op as usize {
             return Err(EngineError::Compacted {
                 requested: k,
                 base: scan.base_op,
             });
         }
-        let (mut db, covered) = if base == 0 {
-            (Database::new(), 0)
-        } else {
-            let snap = self.load_own_snapshot()?;
-            if (snap.ops_covered as usize) < base {
-                // A stale snapshot behind the compaction horizon cannot
-                // reconstruct anything: the gap between it and the log's
-                // first record was compacted away. Refuse with a typed
-                // error rather than underflowing the skip count.
-                return Err(EngineError::Snapshot(SnapshotError::Corrupt(
-                    "snapshot behind the compaction horizon",
-                )));
-            }
-            let covered = snap.ops_covered as usize;
-            if k < covered {
-                return Err(EngineError::Compacted {
-                    requested: k,
-                    base: snap.ops_covered,
-                });
-            }
-            (Database::import_state(snap.state)?, covered)
-        };
-        for op in scan.ops.iter().skip(covered - base).take(k - covered) {
-            op.apply(&mut db)?;
-        }
-        Ok(db)
-    }
-
-    fn load_own_snapshot(&self) -> Result<Snapshot, EngineError> {
-        load_snapshot(&self.vfs, &self.snap_path).map_err(EngineError::Snapshot)
+        Ok(fold_history(&self.vfs, &self.snap_path, &scan, k)?.db)
     }
 
     /// Number of operations in the logical history (compacted + in-log).
@@ -487,53 +495,57 @@ impl PersistentDatabase {
     }
 
     /// Reconstruct the database purely from storage: read the log bytes
-    /// (buffered appends included), fold them over the snapshot (or the
-    /// empty database when never compacted).
+    /// (buffered appends included) and fold them over the snapshot.
     fn rebuild_from_storage(&self) -> Result<Database, EngineError> {
-        let buf = self.vfs.read(self.log.path()).map_err(LogError::from)?;
-        let scan = OpLog::scan_bytes(&buf);
-        let base = scan.base_op;
-        let (mut db, covered) = if base == 0 {
-            (Database::new(), 0)
-        } else {
-            let snap = self.load_own_snapshot()?;
-            if snap.ops_covered < base {
-                return Err(EngineError::Snapshot(SnapshotError::Corrupt(
-                    "snapshot behind the compaction horizon",
-                )));
-            }
-            (Database::import_state(snap.state)?, snap.ops_covered)
-        };
-        // `skip` may exceed the scan when the snapshot is ahead of the
-        // log (crash between snapshot install and compaction): the
-        // suffix to replay is then empty.
-        let skip = (covered - base) as usize;
-        for op in scan.ops.iter().skip(skip) {
-            op.apply(&mut db)?;
-        }
-        Ok(db)
+        let scan = self.scan_log()?;
+        Ok(fold_history(&self.vfs, &self.snap_path, &scan, usize::MAX)?.db)
     }
 
-    fn execute(&mut self, op: Operation) -> Result<(), EngineError> {
-        // Model first (validation), log second — an operation is logged
-        // iff it was accepted, keeping log and state in lockstep.
+    /// The one write path. Every mutator, transaction commit and
+    /// replicated record ends here, so the log and the live state change
+    /// in lockstep: an operation is logged iff the model accepted it.
+    ///
+    /// An operation not yet validated is applied to the live state first
+    /// (a rejection logs nothing) and, if the append then fails, undone
+    /// by rebuilding the live state from storage. A transaction `staged`
+    /// on a shadow is already validated: it is appended first and applied
+    /// after, so a failed append leaves the live state untouched.
+    fn commit(&mut self, op: &Operation, staged: bool) -> Result<(), EngineError> {
         self.guard_writes()?;
-        op.apply(&mut self.db)?;
-        self.append_with_retry(&op).map_err(|e| {
-            // Accepted but not logged: un-apply by rebuilding from
-            // storage so state and log stay in lockstep.
-            self.rollback_divergence();
-            e
-        })
+        if staged {
+            self.append_with_retry(op)?;
+        }
+        if let Err(e) = self.db.apply(op) {
+            // A single operation is atomic, so a rejection leaves the live
+            // state as it was. A `Txn` may stop part-way, and a staged one
+            // is already logged: realign either with durable history.
+            if staged || matches!(op, Operation::Txn(_)) {
+                self.rollback_divergence();
+            }
+            return Err(e.into());
+        }
+        if !staged {
+            self.append_with_retry(op).map_err(|e| {
+                self.rollback_divergence();
+                e
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Hand one mutator's operation to the write path.
+    fn submit(&mut self, op: Operation) -> Result<(), EngineError> {
+        self.commit(&op, false)
     }
 
     /// Run an atomic transaction: `f` stages mutations on a shadow
     /// [`Database`] via the [`Transaction`] handle; on success the whole
-    /// batch is committed as **one** CRC-framed log record and the shadow
-    /// becomes the live state. If `f` returns an error — or the commit
-    /// append fails — the live database is bit-for-bit unchanged and
-    /// nothing reaches the log: recovery can never observe a partially
-    /// applied transaction.
+    /// batch is appended as **one** CRC-framed log record and then
+    /// applied to the live state through the engine's one write path (the
+    /// shadow is dropped, never swapped in). If `f` returns an error — or
+    /// the commit append fails — the live database is bit-for-bit
+    /// unchanged and nothing reaches the log: recovery can never observe
+    /// a partially applied transaction.
     ///
     /// A committed transaction counts as *one* operation in
     /// [`PersistentDatabase::op_count`] / transaction-time travel — the
@@ -552,23 +564,20 @@ impl PersistentDatabase {
                 return Err(e);
             }
         };
-        let (shadow, ops) = t.into_parts();
+        let ops = t.into_ops();
         if ops.is_empty() {
             // Read-only transaction: nothing to commit.
             tchimera_obs::counter!("storage.txn.commits").inc();
             return Ok(out);
         }
         let staged = ops.len() as u64;
-        match self.append_with_retry(&Operation::Txn(ops)) {
+        match self.commit(&Operation::Txn(ops), true) {
             Ok(()) => {
-                self.db = shadow;
                 tchimera_obs::counter!("storage.txn.commits").inc();
                 tchimera_obs::counter!("storage.txn.ops").add(staged);
                 Ok(out)
             }
             Err(e) => {
-                // The live state was never touched; dropping the shadow
-                // *is* the rollback.
                 tchimera_obs::counter!("storage.txn.rollbacks").inc();
                 Err(e)
             }
@@ -691,19 +700,15 @@ impl PersistentDatabase {
 
     // -- replication support -----------------------------------------------
 
-    /// Apply one operation received from a replication stream: validate it
-    /// through the same [`Operation::apply`] path recovery uses, then
-    /// append it to this node's own log so the replica is independently
-    /// durable. A `Txn` record applies atomically, exactly as it did on
-    /// the primary. On append failure the live state is re-aligned with
-    /// durable history (same rollback discipline as local writes).
+    /// Apply one operation received from a replication stream through
+    /// the same write path local writes take: validate it with
+    /// `Database::apply` (the function recovery uses), then append it to
+    /// this node's own log so the replica is independently durable. A
+    /// `Txn` record applies atomically, exactly as it did on the primary.
+    /// On a rejection or an append failure the live state is re-aligned
+    /// with durable history.
     pub fn apply_replicated(&mut self, op: &Operation) -> Result<(), EngineError> {
-        self.guard_writes()?;
-        op.apply(&mut self.db)?;
-        self.append_with_retry(op).map_err(|e| {
-            self.rollback_divergence();
-            e
-        })
+        self.commit(op, false)
     }
 
     /// Install a full state image shipped by a primary whose log prefix
@@ -773,8 +778,9 @@ impl PersistentDatabase {
     ///    rebuilds extent/attr/ref indexes in place (rung 1).
     /// 2. **Durable media** — the log is re-scanned through the `Vfs`
     ///    (CRC re-verification; damage funnels through the same
-    ///    `storage.log.scan.damaged` path as recovery) and the snapshot
-    ///    is re-loaded and digest-checked.
+    ///    `storage.log.scan.damaged` path as recovery) and folded over
+    ///    the snapshot with the recovery fold, which re-loads and
+    ///    digest-checks the snapshot.
     /// 3. **State ↔ history equivalence** — when durable history is
     ///    complete, the live state's digest is compared against a full
     ///    re-materialization; divergence adopts the rebuilt state
@@ -790,7 +796,6 @@ impl PersistentDatabase {
     pub fn scrub_cycle_with(&mut self, charge: &mut dyn FnMut(u64) -> bool) -> StorageScrubReport {
         let mut report = StorageScrubReport {
             core: self.db.scrub_cycle_with(charge),
-            snapshot_ok: true,
             ..StorageScrubReport::default()
         };
 
@@ -798,37 +803,26 @@ impl PersistentDatabase {
         // buffered appends are scanned too (`Vfs::read` sees them
         // regardless; a failed sync must not abort a scrub).
         let _ = self.log.sync();
-        let scan = match self.vfs.read(self.log.path()) {
-            Ok(buf) => Some(OpLog::scan_bytes(&buf)),
-            Err(_) => None,
-        };
-        let (durable_total, base) = match &scan {
+        let scan = self.scan_log().ok();
+        let durable_total = match &scan {
             Some(s) => {
                 if s.torn_tail {
                     report.log_damage += 1;
                 }
-                (s.base_op as usize + s.ops.len(), s.base_op)
+                s.base_op as usize + s.ops.len()
             }
             None => {
                 report.log_damage += 1;
-                (0, 0)
+                0
             }
         };
-        if base > 0 {
-            report.snapshot_ok = match self.load_own_snapshot() {
-                Ok(snap) => match Database::import_state(snap.state) {
-                    Ok(db) => digest_database(&db) == snap.digest,
-                    Err(_) => false,
-                },
-                Err(_) => false,
-            };
-        }
-
-        let rebuilt = if report.snapshot_ok {
-            self.rebuild_from_storage().ok()
-        } else {
-            None
-        };
+        // Re-materialize the durable history. The fold also re-verifies
+        // the snapshot whenever it is needed (a compacted log).
+        let rebuilt = scan
+            .as_ref()
+            .map(|s| fold_history(&self.vfs, &self.snap_path, s, usize::MAX));
+        report.snapshot_ok = !matches!(rebuilt, Some(Err(EngineError::Snapshot(_))));
+        let rebuilt = rebuilt.and_then(Result::ok).map(|f| f.db);
         report.durable_complete =
             rebuilt.is_some() && report.log_damage == 0 && durable_total == self.op_count();
 
@@ -887,83 +881,7 @@ impl PersistentDatabase {
         report
     }
 
-    // -- mirrored mutations ------------------------------------------------
-
-    /// Advance the clock to `t` (logged).
-    pub fn advance_to(&mut self, t: Instant) -> Result<(), EngineError> {
-        self.execute(Operation::AdvanceTo(t))
-    }
-
-    /// Advance the clock by one instant (logged).
-    pub fn tick(&mut self) -> Result<Instant, EngineError> {
-        let t = self.db.now().next();
-        self.execute(Operation::AdvanceTo(t))?;
-        Ok(t)
-    }
-
-    /// Define a class (logged).
-    pub fn define_class(&mut self, def: ClassDef) -> Result<(), EngineError> {
-        self.execute(Operation::DefineClass(def))
-    }
-
-    /// Drop a class (logged).
-    pub fn drop_class(&mut self, class: &ClassId) -> Result<(), EngineError> {
-        self.execute(Operation::DropClass(class.clone()))
-    }
-
-    /// Update a c-attribute (logged).
-    pub fn set_c_attr(
-        &mut self,
-        class: &ClassId,
-        attr: &AttrName,
-        value: Value,
-    ) -> Result<(), EngineError> {
-        self.execute(Operation::SetCAttr {
-            class: class.clone(),
-            attr: attr.clone(),
-            value,
-        })
-    }
-
-    /// Create an object (logged, with the assigned oid pinned for replay).
-    pub fn create_object(&mut self, class: &ClassId, init: Attrs) -> Result<Oid, EngineError> {
-        // Execute first to learn the oid, then log with the expectation.
-        self.guard_writes()?;
-        let oid = self.db.create_object(class, init.clone())?;
-        let op = Operation::CreateObject {
-            class: class.clone(),
-            init,
-            expect: oid,
-        };
-        self.append_with_retry(&op).map_err(|e| {
-            self.rollback_divergence();
-            e
-        })?;
-        Ok(oid)
-    }
-
-    /// Update an attribute (logged).
-    pub fn set_attr(&mut self, oid: Oid, attr: &AttrName, value: Value) -> Result<(), EngineError> {
-        self.execute(Operation::SetAttr {
-            oid,
-            attr: attr.clone(),
-            value,
-        })
-    }
-
-    /// Migrate an object (logged).
-    pub fn migrate(&mut self, oid: Oid, to: &ClassId, init: Attrs) -> Result<(), EngineError> {
-        self.execute(Operation::Migrate {
-            oid,
-            to: to.clone(),
-            init,
-        })
-    }
-
-    /// Terminate an object (logged).
-    pub fn terminate_object(&mut self, oid: Oid) -> Result<(), EngineError> {
-        self.execute(Operation::Terminate { oid })
-    }
+    mutators!("logged");
 }
 
 /// The outcome of one storage-level scrub cycle
@@ -1136,7 +1054,7 @@ mod tests {
     use super::*;
     use crate::vfs::{SimFs, TearMode};
     use std::path::PathBuf;
-    use tchimera_core::{attrs, Type};
+    use tchimera_core::{attrs, Attrs, ClassDef, Instant, Type, Value};
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();

@@ -6,9 +6,9 @@
 //!
 //! * [`codec`] — a compact, dependency-free binary codec for every model
 //!   type (varints, tagged unions, canonical round-trips).
-//! * [`op`] — the logged [`op::Operation`] vocabulary mirroring every
-//!   database mutation, with a single `apply` path shared by online
-//!   execution and recovery.
+//! * [`op`] — the log encoding of [`op::Operation`], core's one
+//!   representation of every database mutation, applied by
+//!   `Database::apply` both online and during recovery.
 //! * [`log`] — the CRC-framed append-only [`log::OpLog`] with torn-tail
 //!   truncation, damage reporting and header-based compaction.
 //! * [`vfs`] — the pluggable [`vfs::Vfs`] I/O layer: [`vfs::StdFs`] for
@@ -23,13 +23,11 @@
 //!   the model's own valid-time semantics make event sourcing the natural
 //!   storage design.)
 //! * [`txn`] — atomic multi-operation [`txn::Transaction`]s staged on a
-//!   shadow database and committed as a single CRC-framed log record.
+//!   shadow database and committed as a single CRC-framed log record,
+//!   then applied to the live state.
 //! * [`resilience`] — fault classification ([`resilience::FaultKind`]),
 //!   deterministic bounded retry ([`resilience::RetryPolicy`]) and the
 //!   read-only degradation [`resilience::CircuitBreaker`].
-//! * [`index`] — [`index::IntervalTree`] and [`index::TemporalIndex`] for
-//!   `O(log n + k)` time-travel queries (who existed / was a member at
-//!   `t`?).
 //! * [`repl`] — log-shipping replication: a [`repl::Primary`] streams
 //!   CRC-framed log records (and full state images past compaction) over
 //!   a pluggable [`repl::Transport`] to a digest-verified
@@ -44,7 +42,6 @@
 
 pub mod codec;
 pub mod engine;
-pub mod index;
 pub mod log;
 pub mod observability;
 pub mod op;
@@ -59,10 +56,9 @@ pub use engine::{
     digest_database, diverged_classes, snapshot_path, EngineConfig, EngineError,
     PersistentDatabase, StorageScrubReport,
 };
-pub use index::{IntervalTree, TemporalIndex};
 pub use log::{DamageReason, LogError, LogScan, OpLog, TailDamage};
 pub use observability::{touch_metrics, REPL_METRICS, STORAGE_METRICS};
-pub use op::{Operation, ReplayError};
+pub use op::Operation;
 pub use repl::{
     ChannelTransport, Frame, Primary, Replica, ReplicaError, SimNetConfig, SimTransport,
     Transport, WireError,

@@ -1,149 +1,124 @@
-//! Logged operations: the write-ahead representation of every database
-//! mutation.
+//! The log encoding of [`Operation`], the one representation of every
+//! database mutation.
 //!
-//! A T_Chimera database is naturally event-sourced — the model's histories
-//! are append-only and the past is immutable — so the full state is a fold
-//! of the operation log. [`Operation::apply`] is the single interpretation
-//! function used both online and during recovery.
+//! `Operation` and its interpreter, `Database::apply`, live in
+//! `tchimera-core`; this module adds the [`Codec`] that writes an
+//! operation into a CRC-framed log record or a replication frame. Every
+//! write of the durable engine — a mutator call, a transaction commit or
+//! a replicated record — is one encoded operation, and recovery re-applies
+//! the decoded ones through the same `Database::apply`, so a recovered
+//! database is the fold of its log.
 
-use tchimera_core::{
-    AttrName, Attrs, ClassDef, ClassId, Database, Instant, ModelError, Oid, Value,
-};
+pub use tchimera_core::Operation;
+use tchimera_core::{AttrName, ClassDef, ClassId, Instant, Oid, Value};
 
 use crate::codec::{decode_attrs, encode_attrs, read_u64, write_u64, Codec, CodecError, Reader};
 
-/// One logged mutation.
-#[derive(Clone, Debug)]
-pub enum Operation {
-    /// Move the clock to an absolute instant.
-    AdvanceTo(Instant),
-    /// Define a class (Definition 4.1).
-    DefineClass(ClassDef),
-    /// Terminate a class lifespan.
-    DropClass(ClassId),
-    /// Update a c-attribute of a class.
-    SetCAttr {
-        /// The class.
-        class: ClassId,
-        /// The c-attribute.
-        attr: AttrName,
-        /// The new value.
-        value: Value,
-    },
-    /// Create an object; `expect` pins the oid the database must assign,
-    /// making replay deterministic (a mismatch means the log is corrupt).
-    CreateObject {
-        /// The most specific class.
-        class: ClassId,
-        /// Initial attribute bindings.
-        init: Attrs,
-        /// The oid assigned at original execution.
-        expect: Oid,
-    },
-    /// Update an object attribute.
-    SetAttr {
-        /// The object.
-        oid: Oid,
-        /// The attribute.
-        attr: AttrName,
-        /// The new value.
-        value: Value,
-    },
-    /// Migrate an object to a new most specific class (Section 5.2).
-    Migrate {
-        /// The object.
-        oid: Oid,
-        /// The target class.
-        to: ClassId,
-        /// Bindings for newly acquired attributes.
-        init: Attrs,
-    },
-    /// Terminate an object lifespan.
-    Terminate {
-        /// The object.
-        oid: Oid,
-    },
-    /// An atomically-committed transaction: all sub-operations share one
-    /// CRC-framed log record, so recovery replays all of them or none.
-    /// Sub-operations are never `Txn` themselves (no nesting).
-    Txn(Vec<Operation>),
-}
-
-/// Errors surfacing during replay.
-#[derive(Debug)]
-pub enum ReplayError {
-    /// The model rejected a logged operation — the log does not describe a
-    /// valid execution.
-    Model(ModelError),
-    /// A created oid did not match the logged expectation.
-    OidMismatch {
-        /// The oid recorded in the log.
-        expected: Oid,
-        /// The oid the database assigned on replay.
-        got: Oid,
-    },
-}
-
-impl std::fmt::Display for ReplayError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReplayError::Model(e) => write!(f, "replay rejected: {e}"),
-            ReplayError::OidMismatch { expected, got } => {
-                write!(f, "replay oid mismatch: log says {expected}, database assigned {got}")
-            }
+/// The mutator methods of [`PersistentDatabase`](crate::PersistentDatabase)
+/// and [`Transaction`](crate::Transaction), written once. Each lowers its
+/// arguments to one [`Operation`] and hands it to the type's private
+/// `submit`, which commits it (the engine) or stages it (a transaction);
+/// `$how` says which in the generated docs.
+macro_rules! mutators {
+    ($how:literal) => {
+        #[doc = concat!("Advance the clock to `t` (", $how, ").")]
+        pub fn advance_to(&mut self, t: tchimera_core::Instant) -> Result<(), $crate::EngineError> {
+            self.submit($crate::Operation::AdvanceTo(t))
         }
-    }
-}
 
-impl std::error::Error for ReplayError {}
-
-impl From<ModelError> for ReplayError {
-    fn from(e: ModelError) -> Self {
-        ReplayError::Model(e)
-    }
-}
-
-impl Operation {
-    /// Apply the operation to a database. Replay and online execution use
-    /// the same code path, so a successfully recovered database is
-    /// bit-for-bit the fold of its log.
-    pub fn apply(&self, db: &mut Database) -> Result<(), ReplayError> {
-        match self {
-            Operation::AdvanceTo(t) => {
-                db.advance_to(*t)?;
-            }
-            Operation::DefineClass(def) => db.define_class(def.clone())?,
-            Operation::DropClass(c) => db.drop_class(c)?,
-            Operation::SetCAttr { class, attr, value } => {
-                db.set_c_attr(class, attr, value.clone())?;
-            }
-            Operation::CreateObject { class, init, expect } => {
-                let got = db.create_object(class, init.clone())?;
-                if got != *expect {
-                    return Err(ReplayError::OidMismatch {
-                        expected: *expect,
-                        got,
-                    });
-                }
-            }
-            Operation::SetAttr { oid, attr, value } => {
-                db.set_attr(*oid, attr, value.clone())?;
-            }
-            Operation::Migrate { oid, to, init } => db.migrate(*oid, to, init.clone())?,
-            Operation::Terminate { oid } => db.terminate_object(*oid)?,
-            Operation::Txn(ops) => {
-                // Atomicity across a replay is framing-level: the whole
-                // record was either durable or it wasn't. Here we just
-                // replay in order; a sub-operation failure poisons the
-                // record as a whole (the caller discards `db`).
-                for op in ops {
-                    op.apply(db)?;
-                }
-            }
+        #[doc = concat!("Advance the clock by one instant (", $how, ").")]
+        pub fn tick(&mut self) -> Result<tchimera_core::Instant, $crate::EngineError> {
+            let t = self.db().now().next();
+            self.submit($crate::Operation::AdvanceTo(t))?;
+            Ok(t)
         }
-        Ok(())
-    }
+
+        #[doc = concat!("Define a class (", $how, ").")]
+        pub fn define_class(
+            &mut self,
+            def: tchimera_core::ClassDef,
+        ) -> Result<(), $crate::EngineError> {
+            self.submit($crate::Operation::DefineClass(def))
+        }
+
+        #[doc = concat!("Drop a class (", $how, ").")]
+        pub fn drop_class(
+            &mut self,
+            class: &tchimera_core::ClassId,
+        ) -> Result<(), $crate::EngineError> {
+            self.submit($crate::Operation::DropClass(class.clone()))
+        }
+
+        #[doc = concat!("Update a c-attribute (", $how, ").")]
+        pub fn set_c_attr(
+            &mut self,
+            class: &tchimera_core::ClassId,
+            attr: &tchimera_core::AttrName,
+            value: tchimera_core::Value,
+        ) -> Result<(), $crate::EngineError> {
+            self.submit($crate::Operation::SetCAttr {
+                class: class.clone(),
+                attr: attr.clone(),
+                value,
+            })
+        }
+
+        #[doc = concat!(
+            "Create an object (", $how, "). The oid it is assigned \
+             (`Database::next_oid`) is pinned in the operation before it runs."
+        )]
+        pub fn create_object(
+            &mut self,
+            class: &tchimera_core::ClassId,
+            init: tchimera_core::Attrs,
+        ) -> Result<tchimera_core::Oid, $crate::EngineError> {
+            let expect = self.db().next_oid();
+            self.submit($crate::Operation::CreateObject {
+                class: class.clone(),
+                init,
+                expect,
+            })?;
+            Ok(expect)
+        }
+
+        #[doc = concat!("Update an attribute (", $how, ").")]
+        pub fn set_attr(
+            &mut self,
+            oid: tchimera_core::Oid,
+            attr: &tchimera_core::AttrName,
+            value: tchimera_core::Value,
+        ) -> Result<(), $crate::EngineError> {
+            self.submit($crate::Operation::SetAttr {
+                oid,
+                attr: attr.clone(),
+                value,
+            })
+        }
+
+        #[doc = concat!("Migrate an object (", $how, ").")]
+        pub fn migrate(
+            &mut self,
+            oid: tchimera_core::Oid,
+            to: &tchimera_core::ClassId,
+            init: tchimera_core::Attrs,
+        ) -> Result<(), $crate::EngineError> {
+            self.submit($crate::Operation::Migrate {
+                oid,
+                to: to.clone(),
+                init,
+            })
+        }
+
+        #[doc = concat!("Terminate an object (", $how, ").")]
+        pub fn terminate_object(
+            &mut self,
+            oid: tchimera_core::Oid,
+        ) -> Result<(), $crate::EngineError> {
+            self.submit($crate::Operation::Terminate { oid })
+        }
+    };
 }
+pub(crate) use mutators;
 
 impl Codec for Operation {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -240,7 +215,7 @@ impl Codec for Operation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tchimera_core::{attrs, Type};
+    use tchimera_core::{attrs, Attrs, Type};
 
     fn ops() -> Vec<Operation> {
         vec![
@@ -291,57 +266,5 @@ mod tests {
             // ClassDef doesn't need one elsewhere).
             assert_eq!(bytes, back.to_bytes());
         }
-    }
-
-    #[test]
-    fn apply_executes_and_checks_oids() {
-        let mut db = Database::new();
-        Operation::AdvanceTo(Instant(5)).apply(&mut db).unwrap();
-        Operation::DefineClass(ClassDef::new("c")).apply(&mut db).unwrap();
-        Operation::CreateObject {
-            class: ClassId::from("c"),
-            init: Attrs::new(),
-            expect: Oid(0),
-        }
-        .apply(&mut db)
-        .unwrap();
-        // Wrong expectation is a replay error.
-        let err = Operation::CreateObject {
-            class: ClassId::from("c"),
-            init: Attrs::new(),
-            expect: Oid(99),
-        }
-        .apply(&mut db)
-        .unwrap_err();
-        assert!(matches!(err, ReplayError::OidMismatch { .. }));
-        // Model rejections surface as replay errors.
-        let err = Operation::DropClass(ClassId::from("ghost"))
-            .apply(&mut db)
-            .unwrap_err();
-        assert!(matches!(err, ReplayError::Model(_)));
-        assert!(err.to_string().contains("ghost"));
-    }
-
-    #[test]
-    fn txn_applies_sub_operations_in_order() {
-        let mut db = Database::new();
-        Operation::Txn(vec![
-            Operation::AdvanceTo(Instant(5)),
-            Operation::DefineClass(ClassDef::new("c")),
-            Operation::CreateObject {
-                class: ClassId::from("c"),
-                init: Attrs::new(),
-                expect: Oid(0),
-            },
-        ])
-        .apply(&mut db)
-        .unwrap();
-        assert_eq!(db.now(), Instant(5));
-        assert!(db.object(Oid(0)).is_ok());
-        // A failing sub-operation surfaces as the txn's error.
-        let err = Operation::Txn(vec![Operation::DropClass(ClassId::from("ghost"))])
-            .apply(&mut db)
-            .unwrap_err();
-        assert!(matches!(err, ReplayError::Model(_)));
     }
 }

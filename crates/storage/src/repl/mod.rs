@@ -5,7 +5,7 @@
 //! [`Primary`] ships its (fsynced) log suffix as checksummed
 //! [`Frame::Batch`] records over a [`Transport`], and a [`Replica`]
 //! folds them into its own [`PersistentDatabase`](crate::PersistentDatabase)
-//! through the exact `Operation::apply` path recovery uses. Identity is
+//! through the exact `Database::apply` path recovery uses. Identity is
 //! verified, not assumed: `state_digest()` values are compared whenever
 //! the replica is exactly aligned with a digest-carrying frame.
 //!

@@ -1,7 +1,7 @@
 //! The receiving side of log replication.
 //!
 //! A [`Replica`] replays shipped operations into its **own**
-//! [`PersistentDatabase`] — through the same `Operation::apply` path used
+//! [`PersistentDatabase`] — through the same `Database::apply` path used
 //! by local execution and recovery, and appended to its own log so the
 //! replica is independently durable and crash-recoverable. Identity with
 //! the primary is *verified*, not assumed: whenever the replica is

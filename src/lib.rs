@@ -51,7 +51,7 @@ pub use tchimera_core::{
 };
 pub use tchimera_query::{Interpreter, Outcome, QueryError, QueryResult};
 pub use tchimera_storage::{
-    EngineConfig, EngineError, PersistentDatabase, TemporalIndex, Transaction,
+    EngineConfig, EngineError, Operation, PersistentDatabase, Transaction,
 };
 
 /// The README's code examples, compile-checked as doctests.
